@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/solve.h"
+#include "util/cli.h"
 #include "util/crashbox.h"
 #include "util/fault.h"
 #include "util/flight_recorder.h"
@@ -38,24 +40,6 @@ const util::GaugeId kBacklogAge = util::Metrics::gauge("service_backlog_age_ms")
 // where no profiled run is watching.
 const util::HistId kBatchHist = util::Metrics::histogram("service_batch_cols");
 const util::HistId kLatencyHist = util::Metrics::histogram("service_request_ns");
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) return fallback;
-  return v;
-}
-
-double env_f64(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s) return fallback;
-  return v;
-}
 
 // Emits the request's three-phase timeline as a tiny "req:<id>" track.
 // The span `step` field carries cache hit (1) vs miss (0), so a trace
@@ -101,18 +85,9 @@ void log_slow(std::uint64_t id, const SolveResult& res) {
                seq >= 10 ? " (slow log decimated to 1/100)" : "");
 }
 
-// Exception-safe crashbox request-table entry for the synchronous solve
-// paths (the async path threads Request::cb_slot through the queue instead,
-// because the slot outlives the submitting frame).
-struct CrashboxReq {
-  int slot;
-  CrashboxReq(std::uint64_t id, util::ReqPhase p)
-      : slot(util::Crashbox::request_begin(id, p)) {}
-  CrashboxReq(const CrashboxReq&) = delete;
-  CrashboxReq& operator=(const CrashboxReq&) = delete;
-  void phase(util::ReqPhase p) const { util::Crashbox::request_phase(slot, p); }
-  ~CrashboxReq() { util::Crashbox::request_end(slot); }
-};
+[[noreturn]] void rows_mismatch(const char* who) {
+  throw std::invalid_argument(std::string(who) + ": rhs rows do not match the matrix order");
+}
 
 // The dispatcher thread reads opt_ from construction on, so every clamp
 // must happen before it starts (dispatcher_ is the last member).
@@ -127,25 +102,23 @@ ServiceOptions sanitize(ServiceOptions o) {
 }  // namespace
 
 ServiceOptions ServiceOptions::from_env(ServiceOptions base) {
-  base.cache_bytes =
-      static_cast<std::size_t>(env_u64("BST_SERVICE_CACHE_BYTES", base.cache_bytes));
-  base.queue_capacity = std::max<std::size_t>(
-      1, static_cast<std::size_t>(env_u64("BST_SERVICE_QUEUE", base.queue_capacity)));
-  base.max_batch = std::max<index_t>(
-      1, static_cast<index_t>(env_u64("BST_SERVICE_BATCH",
-                                      static_cast<std::uint64_t>(base.max_batch))));
-  base.rhs_panel = std::max<index_t>(
-      1, static_cast<index_t>(env_u64("BST_SERVICE_PANEL",
-                                      static_cast<std::uint64_t>(base.rhs_panel))));
+  using util::env_u64;
+  auto env_index = [](const char* name, index_t fallback) {
+    return static_cast<index_t>(env_u64(name, static_cast<std::uint64_t>(fallback),
+                                        std::numeric_limits<int>::max()));
+  };
+  base.cache_bytes = env_u64("BST_SERVICE_CACHE_BYTES", base.cache_bytes);
+  base.queue_capacity = env_u64("BST_SERVICE_QUEUE", base.queue_capacity);
+  base.max_batch = env_index("BST_SERVICE_BATCH", base.max_batch);
+  base.rhs_panel = env_index("BST_SERVICE_PANEL", base.rhs_panel);
   if (const char* s = std::getenv("BST_SERVICE_NOCACHE"); s != nullptr && *s != '\0') {
     base.cache_enabled = (s[0] == '0' && s[1] == '\0');
   }
-  base.slow_ms = env_f64("BST_SERVICE_SLOW_MS", base.slow_ms);
+  base.slow_ms = util::env_f64("BST_SERVICE_SLOW_MS", base.slow_ms);
   base.trace_requests = env_u64("BST_SERVICE_TRACE_REQS", base.trace_requests);
-  base.refine_steps = std::max(
-      0, static_cast<int>(env_u64("BST_SERVICE_REFINE",
-                                  static_cast<std::uint64_t>(std::max(0, base.refine_steps)))));
-  return base;
+  base.refine_steps =
+      static_cast<int>(env_index("BST_SERVICE_REFINE", std::max(0, base.refine_steps)));
+  return sanitize(base);
 }
 
 Service::Service(ServiceOptions opt)
@@ -176,7 +149,7 @@ FactorPtr Service::factor_for(const toeplitz::BlockToeplitz& t, const std::strin
 
 void Service::solve_batch(const core::SchurFactor& f, la::View b_padded) {
   util::TraceSpan span(kSolvePhase);
-  core::solve_rtdr_panels(f.r.view(), nullptr, b_padded, opt_.rhs_panel, opt_.parallel_panels);
+  core::solve_rtdr_panels(f.r.view(), nullptr, b_padded, opt_.rhs_panel, /*parallel=*/true);
 }
 
 std::shared_ptr<const toeplitz::BlockCirculantMultiplier> Service::multiplier_for(
@@ -223,138 +196,67 @@ void Service::solve_batch_refined(const toeplitz::BlockToeplitz& t, const std::s
   util::Metrics::add(kRefineSweeps, static_cast<std::uint64_t>(opt_.refine_steps));
 }
 
+Service::Ticket Service::open_ticket(index_t cols) {
+  {
+    std::lock_guard lock(mu_);
+    submitted_ += static_cast<std::uint64_t>(cols);
+  }
+  util::Metrics::add(kSubmitted, static_cast<std::uint64_t>(cols));
+  Ticket tk;
+  tk.id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
+  tk.submit_ns = util::TraceClock::now_ns();
+  tk.cb_slot = util::Crashbox::request_begin(tk.id, util::ReqPhase::kFactor);
+  tk.cols = cols;
+  return tk;
+}
+
 SolveResult Service::solve(const toeplitz::BlockToeplitz& t, const std::vector<double>& b) {
-  const index_t n = t.order();
-  if (static_cast<index_t>(b.size()) != n) {
-    throw std::invalid_argument("Service::solve: rhs length does not match the matrix order");
-  }
-  {
-    std::lock_guard lock(mu_);
-    ++submitted_;
-  }
-  util::Metrics::add(kSubmitted);
-  const std::uint64_t id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t t_submit = util::TraceClock::now_ns();
-  const std::uint64_t warn0 = util::Metrics::counter_value(kWarnings);
-  const CrashboxReq cb(id, util::ReqPhase::kFactor);
-  bool hit = false;
-  const FactorPtr f = factor_for(t, problem_key(t, opt_.schur), &hit);
-  const std::uint64_t t_factor = util::TraceClock::now_ns();
-  cb.phase(util::ReqPhase::kSolve);
-  // One fixed-width panel, zero-padded: the same trsm shape every request
-  // sees, so the answer bits match the batched path exactly.
-  la::Mat pad(n, opt_.rhs_panel);
-  std::copy(b.begin(), b.end(), pad.data());
-  solve_batch_refined(t, problem_key(t, opt_.schur), *f, pad.view());
-  SolveResult res;
-  res.x.assign(pad.data(), pad.data() + n);
-  res.cache_hit = hit;
-  res.factor_flops = f->flops;
-  res.batch_cols = 1;
-  res.refine_steps = opt_.refine_steps;
-  res.solver_path = opt_.refine_steps > 0 ? "schur+refine" : "schur";
-  res.done_ns = util::TraceClock::now_ns();
-  res.req_id = id;
-  res.queue_ns = 0;
-  res.factor_ns = t_factor - t_submit;
-  res.solve_ns = res.done_ns - t_factor;
-  res.warnings = util::Metrics::counter_value(kWarnings) - warn0;
-  util::Metrics::record(kBatchHist, 1);
-  util::Metrics::record(kLatencyHist, res.done_ns - t_submit);
-  emit_request_track(opt_, id, hit, t_submit, t_submit, t_factor, res.done_ns, 1);
-  const bool slow = opt_.slow_ms > 0.0 &&
-                    static_cast<double>(res.done_ns - t_submit) > opt_.slow_ms * 1e6;
-  {
-    std::lock_guard lock(mu_);
-    ++completed_;
-    ++batches_;
-    max_batch_ = std::max<std::uint64_t>(max_batch_, 1);
-    if (slow) ++slow_;
-  }
-  util::Metrics::add(kCompleted);
-  util::Metrics::add(kBatches);
-  if (slow) {
-    util::Metrics::add(kSlow);
-    log_slow(id, res);
-  }
-  return res;
+  if (static_cast<index_t>(b.size()) != t.order()) rows_mismatch("Service::solve");
+  const std::string key = problem_key(t, opt_.schur);
+  const double* rhs = b.data();
+  const Ticket tk = open_ticket(1);
+  return std::move(serve(t, key, {&rhs, 1}, {&tk, 1}, tk.submit_ns).front());
 }
 
 la::Mat Service::solve_many(const toeplitz::BlockToeplitz& t, la::CView b) {
   const index_t n = t.order(), k = b.cols();
-  if (b.rows() != n) {
-    throw std::invalid_argument("Service::solve_many: rhs rows do not match the matrix order");
-  }
-  {
-    std::lock_guard lock(mu_);
-    submitted_ += static_cast<std::uint64_t>(k);
-  }
-  util::Metrics::add(kSubmitted, static_cast<std::uint64_t>(k));
-  const std::uint64_t id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t t_submit = util::TraceClock::now_ns();
-  const std::uint64_t warn0 = util::Metrics::counter_value(kWarnings);
-  const CrashboxReq cb(id, util::ReqPhase::kFactor);
-  bool hit = false;
-  const FactorPtr f = factor_for(t, problem_key(t, opt_.schur), &hit);
-  const std::uint64_t t_factor = util::TraceClock::now_ns();
-  cb.phase(util::ReqPhase::kSolve);
-  const index_t panel = opt_.rhs_panel;
-  const index_t padded = ((k + panel - 1) / panel) * panel;
-  la::Mat pad(n, padded);
-  la::copy(b, pad.block(0, 0, n, k));
-  solve_batch_refined(t, problem_key(t, opt_.schur), *f, pad.view());
+  if (b.rows() != n) rows_mismatch("Service::solve_many");
+  const std::string key = problem_key(t, opt_.schur);
+  std::vector<const double*> rhs;
+  for (index_t j = 0; j < k; ++j) rhs.push_back(b.col(j));
+  const Ticket tk = open_ticket(k);
+  const std::vector<double> xs = std::move(serve(t, key, rhs, {&tk, 1}, tk.submit_ns).front().x);
   la::Mat x(n, k);
-  la::copy(pad.block(0, 0, n, k), x.view());
-  const std::uint64_t done_ns = util::TraceClock::now_ns();
-  util::Metrics::record(kBatchHist, static_cast<std::uint64_t>(k));
-  util::Metrics::record(kLatencyHist, done_ns - t_submit);
-  emit_request_track(opt_, id, hit, t_submit, t_submit, t_factor, done_ns,
-                     static_cast<std::uint64_t>(k));
-  const std::uint64_t warn_delta = util::Metrics::counter_value(kWarnings) - warn0;
-  const bool slow = opt_.slow_ms > 0.0 &&
-                    static_cast<double>(done_ns - t_submit) > opt_.slow_ms * 1e6;
-  {
-    std::lock_guard lock(mu_);
-    completed_ += static_cast<std::uint64_t>(k);
-    ++batches_;
-    max_batch_ = std::max(max_batch_, static_cast<std::uint64_t>(k));
-    if (slow) ++slow_;
-  }
-  util::Metrics::add(kCompleted, static_cast<std::uint64_t>(k));
-  util::Metrics::add(kBatches);
-  if (slow) {
-    util::Metrics::add(kSlow);
-    SolveResult probe;  // reuse the structured log line for the batch call
-    probe.cache_hit = hit;
-    probe.batch_cols = k;
-    probe.factor_ns = t_factor - t_submit;
-    probe.solve_ns = done_ns - t_factor;
-    probe.warnings = warn_delta;
-    log_slow(id, probe);
-  }
+  std::copy(xs.begin(), xs.end(), x.data());
   return x;
 }
 
-std::future<SolveResult> Service::submit(const toeplitz::BlockToeplitz& t,
-                                         std::vector<double> b) {
+std::optional<std::future<SolveResult>> Service::admit(const toeplitz::BlockToeplitz& t,
+                                                       std::vector<double> b, bool block) {
   if (static_cast<index_t>(b.size()) != t.order()) {
-    throw std::invalid_argument("Service::submit: rhs length does not match the matrix order");
+    rows_mismatch(block ? "Service::submit" : "Service::try_submit");
   }
   util::Fault::fire("admission");
   Request req;
   req.key = problem_key(t, opt_.schur);
   req.t = t;
   req.b = std::move(b);
-  req.submit_ns = util::TraceClock::now_ns();
-  req.id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
+  req.ticket.submit_ns = util::TraceClock::now_ns();
+  req.ticket.id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
   std::future<SolveResult> fut = req.done.get_future();
   {
     std::unique_lock lock(mu_);
-    cv_notfull_.wait(lock, [&] { return stop_ || queue_.size() < opt_.queue_capacity; });
-    if (stop_) throw std::runtime_error("Service::submit: service is shutting down");
-    // Registered only once admission is certain; the dispatcher owns the
-    // slot from here (phase transitions + release).
-    req.cb_slot = util::Crashbox::request_begin(req.id, util::ReqPhase::kQueued);
+    if (block) {
+      cv_notfull_.wait(lock, [&] { return stop_ || queue_.size() < opt_.queue_capacity; });
+      if (stop_) throw std::runtime_error("Service::submit: service is shutting down");
+    } else if (stop_ || queue_.size() >= opt_.queue_capacity) {
+      ++rejected_;
+      util::Metrics::add(kRejected);
+      return std::nullopt;
+    }
+    // Registered only once admission is certain; serve() owns the slot
+    // from dispatch on (phase transitions + release).
+    req.ticket.cb_slot = util::Crashbox::request_begin(req.ticket.id, util::ReqPhase::kQueued);
     queue_.push_back(std::move(req));
     ++submitted_;
     queue_peak_ = std::max(queue_peak_, static_cast<std::uint64_t>(queue_.size()));
@@ -365,41 +267,102 @@ std::future<SolveResult> Service::submit(const toeplitz::BlockToeplitz& t,
   return fut;
 }
 
+std::future<SolveResult> Service::submit(const toeplitz::BlockToeplitz& t,
+                                         std::vector<double> b) {
+  return *admit(t, std::move(b), /*block=*/true);
+}
+
 bool Service::try_submit(const toeplitz::BlockToeplitz& t, std::vector<double> b,
                          std::future<SolveResult>& out) {
-  if (static_cast<index_t>(b.size()) != t.order()) {
-    throw std::invalid_argument("Service::try_submit: rhs length does not match the matrix order");
-  }
-  util::Fault::fire("admission");
-  Request req;
-  req.key = problem_key(t, opt_.schur);
-  req.t = t;
-  req.b = std::move(b);
-  req.submit_ns = util::TraceClock::now_ns();
-  req.id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
-  std::future<SolveResult> fut = req.done.get_future();
-  {
-    std::unique_lock lock(mu_);
-    if (stop_ || queue_.size() >= opt_.queue_capacity) {
-      ++rejected_;
-      util::Metrics::add(kRejected);
-      return false;
-    }
-    req.cb_slot = util::Crashbox::request_begin(req.id, util::ReqPhase::kQueued);
-    queue_.push_back(std::move(req));
-    ++submitted_;
-    queue_peak_ = std::max(queue_peak_, static_cast<std::uint64_t>(queue_.size()));
-    util::Metrics::gauge_set(kQueueDepth, static_cast<std::int64_t>(queue_.size()));
-  }
-  util::Metrics::add(kSubmitted);
-  cv_nonempty_.notify_one();
-  out = std::move(fut);
+  std::optional<std::future<SolveResult>> fut = admit(t, std::move(b), /*block=*/false);
+  if (!fut) return false;
+  out = std::move(*fut);
   return true;
 }
 
 void Service::drain() {
   std::unique_lock lock(mu_);
   cv_drained_.wait(lock, [&] { return queue_.empty() && inflight_ == 0; });
+}
+
+std::vector<SolveResult> Service::serve(const toeplitz::BlockToeplitz& t, const std::string& key,
+                                        std::span<const double* const> rhs,
+                                        std::span<const Ticket> tickets, std::uint64_t pop_ns) {
+  const index_t n = t.order(), k = static_cast<index_t>(rhs.size());
+  // Profiler sample attribution: tag this thread's samples with the id
+  // leading the batch (the same id the crashbox request table carries),
+  // so flamegraphs fold per `req:<id>` like the flight-recorder tracks.
+  util::Prof::set_request(tickets.front().id);
+  const auto set_phase = [&](util::ReqPhase p) {
+    for (const Ticket& tk : tickets) util::Crashbox::request_phase(tk.cb_slot, p);
+  };
+  std::vector<SolveResult> out;
+  std::uint64_t slow_count = 0;
+  // Runs whether the batch succeeded or failed: a failed request is
+  // completed too -- its answer is the error.
+  const auto finish = [&] {
+    for (const Ticket& tk : tickets) util::Crashbox::request_end(tk.cb_slot);
+    util::Prof::set_request(0);
+    {
+      std::lock_guard lock(mu_);
+      completed_ += static_cast<std::uint64_t>(k);
+      ++batches_;
+      max_batch_ = std::max(max_batch_, static_cast<std::uint64_t>(k));
+      slow_ += slow_count;
+    }
+    util::Metrics::add(kCompleted, static_cast<std::uint64_t>(k));
+    util::Metrics::add(kBatches);
+  };
+  try {
+    const std::uint64_t warn0 = util::Metrics::counter_value(kWarnings);
+    set_phase(util::ReqPhase::kFactor);
+    bool hit = false;
+    const FactorPtr f = factor_for(t, key, &hit);
+    const std::uint64_t factor_done_ns = util::TraceClock::now_ns();
+    set_phase(util::ReqPhase::kSolve);
+    // Zero-padded to whole rhs_panel-wide panels: every trsm sees the same
+    // shape, so the answer bits do not depend on how requests batched.
+    const index_t panel = opt_.rhs_panel;
+    la::Mat pad(n, ((k + panel - 1) / panel) * panel);
+    double* col = pad.data();
+    for (const double* b : rhs) col = std::copy(b, b + n, col);
+    solve_batch_refined(t, key, *f, pad.view());
+    const std::uint64_t done_ns = util::TraceClock::now_ns();
+    const std::uint64_t warn_delta = util::Metrics::counter_value(kWarnings) - warn0;
+    util::Metrics::record(kBatchHist, static_cast<std::uint64_t>(k));
+    out.reserve(tickets.size());
+    const double* x = pad.data();
+    for (const Ticket& tk : tickets) {
+      SolveResult& res = out.emplace_back();
+      res.x.assign(x, x + tk.cols * n);
+      x += tk.cols * n;
+      res.cache_hit = hit;
+      res.factor_flops = f->flops;
+      res.batch_cols = k;
+      res.done_ns = done_ns;
+      res.req_id = tk.id;
+      res.queue_ns = pop_ns - tk.submit_ns;
+      res.factor_ns = factor_done_ns - pop_ns;
+      res.solve_ns = done_ns - factor_done_ns;
+      res.warnings = warn_delta;
+      res.refine_steps = opt_.refine_steps;
+      res.solver_path = opt_.refine_steps > 0 ? "schur+refine" : "schur";
+      util::Metrics::record(kLatencyHist, done_ns - tk.submit_ns);
+      emit_request_track(opt_, tk.id, hit, tk.submit_ns, pop_ns, factor_done_ns, done_ns,
+                         static_cast<std::uint64_t>(k));
+      if (opt_.slow_ms > 0.0 &&
+          static_cast<double>(done_ns - tk.submit_ns) > opt_.slow_ms * 1e6) {
+        ++slow_count;
+        util::Metrics::add(kSlow);
+        log_slow(tk.id, res);
+      }
+    }
+  } catch (...) {
+    finish();
+    throw;
+  }
+  finish();
+  return out;
 }
 
 void Service::dispatcher_loop() {
@@ -435,95 +398,34 @@ void Service::dispatcher_loop() {
       const std::int64_t backlog_ms =
           queue_.empty() ? 0
                          : static_cast<std::int64_t>(
-                               (util::TraceClock::now_ns() - queue_.front().submit_ns) /
+                               (util::TraceClock::now_ns() - queue_.front().ticket.submit_ns) /
                                1000000u);
       util::Metrics::gauge_set(kBacklogAge, backlog_ms);
     }
     cv_notfull_.notify_all();
 
     util::Fault::fire("dispatch");
-    const auto k = static_cast<index_t>(batch.size());
     const std::uint64_t pop_ns = util::TraceClock::now_ns();
-    // Profiler sample attribution: tag this thread's samples with the id
-    // leading the batch (the same id the crashbox request table carries),
-    // so flamegraphs fold per `req:<id>` like the flight-recorder tracks.
-    util::Prof::set_request(batch.front().id);
-    std::uint64_t slow_count = 0;
     try {
-      const std::uint64_t warn0 = util::Metrics::counter_value(kWarnings);
+      std::vector<const double*> rhs;
+      std::vector<Ticket> tickets;
       for (const Request& req : batch) {
-        util::Crashbox::request_phase(req.cb_slot, util::ReqPhase::kFactor);
+        rhs.push_back(req.b.data());
+        tickets.push_back(req.ticket);
       }
-      bool hit = false;
-      const FactorPtr f = factor_for(batch.front().t, batch.front().key, &hit);
-      const std::uint64_t factor_done_ns = util::TraceClock::now_ns();
-      for (const Request& req : batch) {
-        util::Crashbox::request_phase(req.cb_slot, util::ReqPhase::kSolve);
-      }
-      const index_t n = batch.front().t.order();
-      const index_t panel = opt_.rhs_panel;
-      const index_t padded = ((k + panel - 1) / panel) * panel;
-      la::Mat pad(n, padded);
-      for (index_t j = 0; j < k; ++j) {
-        const std::vector<double>& b = batch[static_cast<std::size_t>(j)].b;
-        std::copy(b.begin(), b.end(), pad.data() + j * n);
-      }
-      solve_batch_refined(batch.front().t, batch.front().key, *f, pad.view());
-      const std::uint64_t done_ns = util::TraceClock::now_ns();
-      const std::uint64_t warn_delta = util::Metrics::counter_value(kWarnings) - warn0;
-      util::Metrics::record(kBatchHist, static_cast<std::uint64_t>(k));
-      for (index_t j = 0; j < k; ++j) {
-        Request& req = batch[static_cast<std::size_t>(j)];
-        SolveResult res;
-        const double* xj = pad.data() + j * n;
-        res.x.assign(xj, xj + n);
-        res.cache_hit = hit;
-        res.factor_flops = f->flops;
-        res.batch_cols = k;
-        res.done_ns = done_ns;
-        res.req_id = req.id;
-        res.queue_ns = pop_ns - req.submit_ns;
-        res.factor_ns = factor_done_ns - pop_ns;
-        res.solve_ns = done_ns - factor_done_ns;
-        res.warnings = warn_delta;
-        res.refine_steps = opt_.refine_steps;
-        res.solver_path = opt_.refine_steps > 0 ? "schur+refine" : "schur";
-        util::Metrics::record(kLatencyHist, done_ns - req.submit_ns);
-        emit_request_track(opt_, req.id, hit, req.submit_ns, pop_ns, factor_done_ns,
-                           done_ns, static_cast<std::uint64_t>(k));
-        const bool slow =
-            opt_.slow_ms > 0.0 &&
-            static_cast<double>(done_ns - req.submit_ns) > opt_.slow_ms * 1e6;
-        if (slow) {
-          ++slow_count;
-          util::Metrics::add(kSlow);
-          log_slow(req.id, res);
-        }
-        req.done.set_value(std::move(res));
-        util::Crashbox::request_end(req.cb_slot);
-      }
+      std::vector<SolveResult> res =
+          serve(batch.front().t, batch.front().key, rhs, tickets, pop_ns);
+      for (std::size_t j = 0; j < batch.size(); ++j) batch[j].done.set_value(std::move(res[j]));
     } catch (...) {
       // Factorization failure (e.g. NotPositiveDefinite) fails the whole
       // batch -- every request is the same problem.
-      std::exception_ptr err = std::current_exception();
-      for (Request& req : batch) {
-        req.done.set_exception(err);
-        util::Crashbox::request_end(req.cb_slot);
-      }
+      for (Request& req : batch) req.done.set_exception(std::current_exception());
     }
-    util::Prof::set_request(0);
-
     {
       std::lock_guard lock(mu_);
       inflight_ -= batch.size();
-      completed_ += batch.size();
-      ++batches_;
-      max_batch_ = std::max(max_batch_, static_cast<std::uint64_t>(batch.size()));
-      slow_ += slow_count;
       util::Metrics::gauge_set(kInflight, static_cast<std::int64_t>(inflight_));
     }
-    util::Metrics::add(kCompleted, static_cast<std::uint64_t>(batch.size()));
-    util::Metrics::add(kBatches);
     cv_drained_.notify_all();
   }
 }

@@ -20,6 +20,12 @@
 //     one factor lookup + one blocked solve.  Panel solves fan out across
 //     util::ThreadPool.
 //
+// One request pipeline: solve(), solve_many() and each dispatched batch
+// all go through the private serve() -- factor lookup, padded panel solve
+// (+ refinement), per-request results and every counter, histogram,
+// track and log line.  The synchronous calls run it on the caller's
+// thread; the dispatcher runs it once per coalesced batch.
+//
 // Determinism: for a fixed ServiceOptions (in particular rhs_panel),
 // concurrent submit()s return solutions bitwise identical to the serial
 // solve() path at any thread count and any batching outcome -- each output
@@ -74,6 +80,8 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -97,7 +105,6 @@ struct ServiceOptions {
   index_t max_batch = 256;             // same-key requests per dispatch
   index_t rhs_panel = 32;              // RHS panel width (fixed trsm shape)
   bool cache_enabled = true;
-  bool parallel_panels = true;         // spread panels across the ThreadPool
   double slow_ms = 100.0;              // slow-request log threshold (0 = off)
   std::uint64_t trace_requests = 32;   // "req:<id>" tracks minted while tracing
   int refine_steps = 0;                // FFT-residual refinement sweeps (0 = off)
@@ -179,15 +186,40 @@ class Service {
   [[nodiscard]] const ServiceOptions& options() const noexcept { return opt_; }
 
  private:
+  /// One request's share of a batch: `cols` consecutive right-hand sides.
+  /// solve() and each queued request own one column; solve_many() owns k.
+  struct Ticket {
+    std::uint64_t id = 0;  // minted at admission (next_req_id_)
+    std::uint64_t submit_ns = 0;
+    int cb_slot = -1;      // crashbox active-request slot (-1 = table full)
+    index_t cols = 1;
+  };
+
   struct Request {
+    Ticket ticket;
     std::string key;
     toeplitz::BlockToeplitz t;
     std::vector<double> b;
     std::promise<SolveResult> done;
-    std::uint64_t submit_ns = 0;
-    std::uint64_t id = 0;  // minted at admission (next_req_id_)
-    int cb_slot = -1;      // crashbox active-request slot (-1 = table full)
   };
+
+  /// Admits a direct (solve / solve_many) call of `cols` right-hand sides.
+  Ticket open_ticket(index_t cols);
+
+  /// Queue admission for submit() (`block`: wait while full) and
+  /// try_submit() (reject when full; nullopt).
+  std::optional<std::future<SolveResult>> admit(const toeplitz::BlockToeplitz& t,
+                                                std::vector<double> b, bool block);
+
+  /// The request pipeline.  Solves the columns `rhs` (each of order
+  /// t.order()) of one problem, split among `tickets` in order, and
+  /// returns one result per ticket.  `pop_ns` is when the batch left the
+  /// queue (the submit time for direct calls).  Owns the tickets' crashbox
+  /// slots from here on and does all the per-batch and per-request
+  /// accounting; a factorization failure is accounted, then rethrown.
+  std::vector<SolveResult> serve(const toeplitz::BlockToeplitz& t, const std::string& key,
+                                 std::span<const double* const> rhs,
+                                 std::span<const Ticket> tickets, std::uint64_t pop_ns);
 
   /// Factor via the cache (or directly when caching is off).
   FactorPtr factor_for(const toeplitz::BlockToeplitz& t, const std::string& key, bool* hit);

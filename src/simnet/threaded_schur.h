@@ -18,9 +18,11 @@
 
 namespace bst::simnet {
 
-/// Runs the SPMD factorization on opt.np PE threads (layouts V1/V2).
-/// Returns the assembled upper triangular factor (gathered on PE 0).
-/// Throws std::invalid_argument for V3 (cost-model only) and propagates
+/// Runs the SPMD factorization on opt.np PE threads, in any layout: V1/V2
+/// distribute whole block columns, V3 splits each block column over
+/// opt.spread adjacent PEs.  Returns the assembled upper triangular factor
+/// (gathered on PE 0).  Throws std::invalid_argument for np < 1 and, for
+/// V3, unless spread divides both np and the block size; propagates
 /// NotPositiveDefinite from the pivot owner.
 la::Mat threaded_schur_factor(const toeplitz::BlockToeplitz& t, const DistOptions& opt);
 

@@ -1,5 +1,8 @@
 #include "util/cli.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
@@ -50,5 +53,38 @@ double Cli::get_double(const std::string& key, double fallback) const {
 }
 
 bool Cli::has(const std::string& key) const { return kv_.contains(key); }
+
+namespace {
+
+[[noreturn]] void bad_env(const char* name, const char* what, const char* value) {
+  throw std::invalid_argument(std::string(name) + ": expected " + what + ", got '" + value + "'");
+}
+
+}  // namespace
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback, std::uint64_t max) {
+  const char* s = std::getenv(name);
+  if (s == nullptr || *s == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  // A leading digit rules out the sign and whitespace strtoull would accept.
+  if (std::isdigit(static_cast<unsigned char>(*s)) == 0 || *end != '\0' || errno == ERANGE ||
+      v > max) {
+    bad_env(name, ("an integer in [0, " + std::to_string(max) + "]").c_str(), s);
+  }
+  return v;
+}
+
+double env_f64(const char* name, double fallback) {
+  const char* s = std::getenv(name);
+  if (s == nullptr || *s == '\0') return fallback;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+    bad_env(name, "a non-negative number", s);
+  }
+  return v;
+}
 
 }  // namespace bst::util

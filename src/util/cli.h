@@ -1,6 +1,8 @@
-// Tiny --key=value command line parser for the bench/example binaries.
+// Tiny --key=value command line parser for the bench/example binaries,
+// plus the strict readers for numeric BST_* environment knobs.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -25,5 +27,15 @@ class Cli {
  private:
   std::map<std::string, std::string> kv_;
 };
+
+/// Numeric BST_* environment knobs, parsed by the same whole-value rule as
+/// the Cli getters.  Unset or empty gives `fallback`; anything else must
+/// be a complete non-negative number (every knob read through these is a
+/// size, count or threshold) no larger than `max`, or
+/// std::invalid_argument names the variable.  Plain strtoull would wrap
+/// "-1" to 2^64-1 and read "32x" as 32.
+std::uint64_t env_u64(const char* name, std::uint64_t fallback,
+                      std::uint64_t max = UINT64_MAX);
+double env_f64(const char* name, double fallback);
 
 }  // namespace bst::util

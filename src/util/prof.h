@@ -127,7 +127,8 @@ class Prof {
   static std::vector<PhasePmu> pmu_snapshot();
 
   /// Tags the calling thread's samples with a request id (0 = none); the
-  /// service dispatcher sets this to the batch it is serving, matching the
+  /// service sets this to the request (or batch) it is serving, on the
+  /// dispatcher and on synchronous callers' threads alike, matching the
   /// ids in the crashbox active-request table.
   static void set_request(std::uint64_t id) noexcept;
 

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <utility>
 
+#include "util/cli.h"
 #include "util/crashbox.h"
 #include "util/report.h"
 #include "util/stallguard.h"
@@ -19,24 +20,6 @@ namespace bst::util {
 namespace {
 
 const CtrId kTicks = Metrics::counter("telemetry_ticks");
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s) return fallback;
-  return v;
-}
-
-double env_f64(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s) return fallback;
-  return v;
-}
 
 std::string env_str(const char* name, std::string fallback) {
   const char* s = std::getenv(name);

@@ -10,7 +10,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/schur.h"
@@ -422,6 +425,30 @@ TEST(ServiceOptions, FromEnvOverridesAndClamps) {
   EXPECT_EQ(d.refine_steps, 0);
 }
 
+TEST(ServiceOptions, FromEnvRejectsMalformedAndNegative) {
+  // strtoull would wrap "-1" to 2^64-1 (no backpressure) and "-5" to an
+  // unbounded cache, and read "32x" as 32: each must be refused instead.
+  for (const auto& [var, value] : {std::pair{"BST_SERVICE_QUEUE", "-1"},
+                                   std::pair{"BST_SERVICE_CACHE_BYTES", "-5"},
+                                   std::pair{"BST_SERVICE_PANEL", "32x"},
+                                   std::pair{"BST_SERVICE_BATCH", " 8"},
+                                   std::pair{"BST_SERVICE_REFINE", "one"},
+                                   std::pair{"BST_SERVICE_REFINE", "4294967298"},
+                                   std::pair{"BST_SERVICE_SLOW_MS", "-3"},
+                                   std::pair{"BST_SERVICE_SLOW_MS", "7.5ms"},
+                                   std::pair{"BST_SERVICE_TRACE_REQS", "99999999999999999999"}}) {
+    setenv(var, value, 1);
+    try {
+      (void)ServiceOptions::from_env();
+      ADD_FAILURE() << var << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    }
+    unsetenv(var);
+  }
+  EXPECT_EQ(ServiceOptions::from_env().queue_capacity, ServiceOptions{}.queue_capacity);
+}
+
 // ---------------------------------------------------------- metric counters
 
 TEST(MetricsCounters, InternAddAndSnapshot) {
@@ -472,6 +499,70 @@ TEST(Service, SolveResultCarriesPhaseTimings) {
   const SolveResult async = fut.get();
   EXPECT_GT(async.done_ns, 0u);
   EXPECT_GT(async.req_id, 0u);
+}
+
+std::uint64_t latency_samples() {
+  for (const util::HistogramStats& h : util::Metrics::snapshot()) {
+    if (h.name == "service_request_ns") return h.count;
+  }
+  return 0;
+}
+
+// solve, solve_many and submit are doors into one request pipeline: the
+// same answer bits, the same accounting per request, one id per call.
+TEST(Service, EveryDoorSameAnswerAccountingAndIds) {
+  Service svc(small_opts());
+  BlockToeplitz t = toeplitz::kms(40, 0.5);
+  const la::index_t n = t.order();
+  la::Mat b(n, 3);
+  for (la::index_t i = 0; i < n * 3; ++i) b.data()[i] = std::sin(0.07 * i);
+  const std::vector<double> b0(b.view().col(0), b.view().col(0) + n);
+  const std::uint64_t warm_id = svc.solve(t, b0).req_id;  // every door below hits
+
+  struct Counts {
+    std::uint64_t submitted, completed, batches, samples;
+  };
+  auto counts = [&] {
+    svc.drain();
+    const service::ServiceStats s = svc.stats();
+    return Counts{s.submitted, s.completed, s.batches, latency_samples()};
+  };
+  auto expect_delta = [](const Counts& a, const Counts& z, std::uint64_t reqs,
+                         std::uint64_t samples, const char* door) {
+    EXPECT_EQ(z.submitted - a.submitted, reqs) << door;
+    EXPECT_EQ(z.completed - a.completed, reqs) << door;
+    EXPECT_EQ(z.batches - a.batches, 1u) << door;
+    EXPECT_EQ(z.samples - a.samples, samples) << door;
+  };
+  auto same_bits = [n](const double* x, const std::vector<double>& want) {
+    return std::memcmp(x, want.data(), static_cast<std::size_t>(n) * sizeof(double)) == 0;
+  };
+
+  Counts c0 = counts();
+  const SolveResult r = svc.solve(t, b0);
+  Counts c1 = counts();
+  expect_delta(c0, c1, 1, 1, "solve");
+  EXPECT_TRUE(r.cache_hit);
+
+  const la::Mat x1 = svc.solve_many(t, b.block(0, 0, n, 1));
+  Counts c2 = counts();
+  expect_delta(c1, c2, 1, 1, "solve_many k=1");
+  EXPECT_TRUE(same_bits(x1.data(), r.x));
+
+  const la::Mat x3 = svc.solve_many(t, b.view());
+  Counts c3 = counts();
+  expect_delta(c2, c3, 3, 1, "solve_many k=3");  // one latency sample per call
+  EXPECT_TRUE(same_bits(x3.data(), r.x));
+
+  const SolveResult a = svc.submit(t, b0).get();
+  Counts c4 = counts();
+  expect_delta(c3, c4, 1, 1, "submit");
+  EXPECT_TRUE(same_bits(a.x.data(), r.x));
+
+  // Every call mints exactly one id, in call order (solve_many's included).
+  EXPECT_EQ(r.req_id, warm_id + 1);
+  EXPECT_EQ(a.req_id, r.req_id + 3);
+  EXPECT_GT(svc.solve(t, b0).req_id, a.req_id);
 }
 
 TEST(Service, SlowRequestsCountedAgainstThreshold) {

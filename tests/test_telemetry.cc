@@ -14,8 +14,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/metrics.h"
@@ -267,6 +269,21 @@ TEST(TelemetryOptions, FromEnvOverridesAndClamps) {
   const TelemetryOptions d = TelemetryOptions::from_env();
   EXPECT_EQ(d.interval_ms, 1000u);
   EXPECT_FALSE(d.active());  // no outputs -> exporter start() is a no-op
+}
+
+TEST(TelemetryOptions, FromEnvRejectsMalformedAndNegative) {
+  for (const auto& [var, value] : {std::pair{"BST_TELEMETRY_WINDOW", "-1"},
+                                   std::pair{"BST_TELEMETRY_INTERVAL_MS", "50ms"},
+                                   std::pair{"BST_SLO_P99_MS", "-2.5"}}) {
+    setenv(var, value, 1);
+    try {
+      (void)TelemetryOptions::from_env();
+      ADD_FAILURE() << var << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    }
+    unsetenv(var);
+  }
 }
 
 // ------------------------------------------------------- exporter, end to end
