@@ -43,9 +43,12 @@ int main(int argc, char** argv) {
 
   for (long n = 256; n <= nmax; n *= 2) {
     toeplitz::BlockToeplitz t = toeplitz::kms(n, 0.7);
-    std::vector<util::Cell> rrow{static_cast<long long>(n)};
-    std::vector<util::Cell> wrow{static_cast<long long>(n)};
-    for (la::index_t ms : sizes_ms) {
+    // Sized up front and filled by index: growing a vector of Cells trips a
+    // GCC 12 -Wmaybe-uninitialized false positive in std::variant's move.
+    std::vector<util::Cell> rrow(sizes_ms.size() + 1), wrow(sizes_ms.size() + 1);
+    rrow[0] = wrow[0] = static_cast<long long>(n);
+    for (std::size_t c = 0; c < sizes_ms.size(); ++c) {
+      const la::index_t ms = sizes_ms[c];
       core::SchurOptions opt;
       opt.block_size = ms;
       // Stream into a null sink: measure the factorization, not the store.
@@ -60,8 +63,8 @@ int main(int argc, char** argv) {
         // matching the tracer's accumulation).
         obs.add_phase_models(core::schur_phase_models(opt.rep, n, ms));
       }
-      rrow.push_back(static_cast<double>(flops) / best / 1e6);
-      wrow.push_back(best);
+      rrow[c + 1] = static_cast<double>(flops) / best / 1e6;
+      wrow[c + 1] = best;
     }
     rate.row(std::move(rrow));
     wall.row(std::move(wrow));

@@ -8,6 +8,7 @@
 
 #include "la/condest.h"
 #include "la/norms.h"
+#include "util/cli.h"
 #include "util/fault.h"
 #include "util/flops.h"
 #include "util/metrics.h"
@@ -148,12 +149,11 @@ void CirculantPreconditioner::apply_inverse(const std::vector<double>& r,
 }
 
 PcgOptions PcgOptions::from_env(PcgOptions base) {
-  if (const char* s = std::getenv("BST_PCG_TOL"); s != nullptr && *s != '\0') {
-    base.tol = std::strtod(s, nullptr);
-  }
-  if (const char* s = std::getenv("BST_PCG_MAXIT"); s != nullptr && *s != '\0') {
-    base.max_iters = std::max(1, std::atoi(s));
-  }
+  base.tol = util::env_f64("BST_PCG_TOL", base.tol);
+  const std::uint64_t maxit =
+      util::env_u64("BST_PCG_MAXIT", static_cast<std::uint64_t>(std::max(1, base.max_iters)),
+                    std::numeric_limits<int>::max());
+  base.max_iters = std::max(1, static_cast<int>(maxit));
   return base;
 }
 

@@ -69,6 +69,8 @@ struct PcgOptions {
   double tol = 1e-13;
 
   /// Overlays BST_PCG_TOL / BST_PCG_MAXIT onto `base` (defaults if omitted).
+  /// Malformed, negative or trailing-garbage values throw
+  /// std::invalid_argument naming the variable (util::env_f64/env_u64).
   static PcgOptions from_env(PcgOptions base);
   static PcgOptions from_env() { return from_env(PcgOptions{}); }
 };

@@ -24,14 +24,13 @@ void solve_rtdr(CView r, const double* d, const std::vector<double>& b, std::vec
 void solve_rtdr_multi(CView r, const double* d, View bx);
 
 /// Panel-blocked multi-RHS solve: splits the k columns of B into panels of
-/// `panel` columns and runs the level-3 triangular solve per panel -- with
-/// `parallel`, panels are spread across the global ThreadPool.  Each panel
-/// is an independent system and each output column depends only on its own
-/// input column, so for a *fixed* panel width the results are bitwise
-/// identical at any thread count (the kernels' shape crossover makes the
-/// bits a function of the panel width, which is why service::Service pads
-/// its batches to whole panels; see docs/SERVICE.md).  panel <= 0 or
-/// panel >= k degenerates to one solve_rtdr_multi call.
+/// `panel` columns (the last one keeps its natural width) and runs the
+/// level-3 triangular solve per panel -- with `parallel`, panels are spread
+/// across the global ThreadPool.  Each output column depends only on its
+/// own input column, and the left trsm picks its update path from R's
+/// shape alone, so the results are bitwise identical at any thread count
+/// and any panel width (docs/KERNELS.md).  panel <= 0 or panel >= k
+/// degenerates to one solve_rtdr_multi call.
 void solve_rtdr_panels(CView r, const double* d, View bx, index_t panel, bool parallel = false);
 
 /// Solves T X = B through an SPD factor for an n x k block of right-hand

@@ -1,10 +1,13 @@
 #include "core/solver.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "core/solve.h"
 #include "la/norms.h"
+#include "util/cli.h"
 #include "util/watchdog.h"
 
 namespace bst::core {
@@ -39,12 +42,12 @@ SolverPolicy SolverPolicy::from_env(SolverPolicy base) {
   if (const char* s = std::getenv("BST_SOLVER"); s != nullptr && *s != '\0') {
     base.kind = parse_solver_kind(s);
   }
-  if (const char* s = std::getenv("BST_SOLVER_MIN_N"); s != nullptr && *s != '\0') {
-    base.pcg_min_n = static_cast<la::index_t>(std::strtol(s, nullptr, 10));
-  }
-  if (const char* s = std::getenv("BST_SOLVER_MAX_COND"); s != nullptr && *s != '\0') {
-    base.pcg_max_cond = std::strtod(s, nullptr);
-  }
+  const std::uint64_t min_n =
+      util::env_u64("BST_SOLVER_MIN_N",
+                    static_cast<std::uint64_t>(std::max<la::index_t>(0, base.pcg_min_n)),
+                    std::numeric_limits<la::index_t>::max());
+  base.pcg_min_n = static_cast<la::index_t>(min_n);
+  base.pcg_max_cond = util::env_f64("BST_SOLVER_MAX_COND", base.pcg_max_cond);
   return base;
 }
 

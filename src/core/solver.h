@@ -57,7 +57,8 @@ struct SolverPolicy {
   double pcg_max_cond = 1e6;
 
   /// Overlays BST_SOLVER / BST_SOLVER_MIN_N / BST_SOLVER_MAX_COND onto
-  /// `base` (defaults if omitted).
+  /// `base` (defaults if omitted).  Malformed or negative numbers throw
+  /// std::invalid_argument naming the variable.
   static SolverPolicy from_env(SolverPolicy base);
   static SolverPolicy from_env() { return from_env(SolverPolicy{}); }
 };

@@ -90,7 +90,7 @@ void log_slow(std::uint64_t id, const SolveResult& res) {
 }
 
 // The dispatcher thread reads opt_ from construction on, so every clamp
-// must happen before it starts (dispatcher_ is the last member).
+// must happen before it starts (at the end of the constructor).
 ServiceOptions sanitize(ServiceOptions o) {
   o.max_batch = std::max<index_t>(1, o.max_batch);
   o.rhs_panel = std::max<index_t>(1, o.rhs_panel);
@@ -121,12 +121,14 @@ ServiceOptions ServiceOptions::from_env(ServiceOptions base) {
   return sanitize(base);
 }
 
-Service::Service(ServiceOptions opt)
-    : opt_(sanitize(opt)), cache_(opt_.cache_bytes), dispatcher_([this] { dispatcher_loop(); }) {
+Service::Service(ServiceOptions opt) : opt_(sanitize(opt)), cache_(opt_.cache_bytes) {
   // Env-gated no-ops unless BST_CRASH_DIR / BST_STALL_MS are set: a live
   // service is exactly the process whose last moments are worth keeping.
+  // Before the dispatcher starts, so a malformed BST_STALL_MS throws out of
+  // a constructor that has no thread to join.
   util::Crashbox::install();
   util::StallGuard::start_from_env();
+  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 Service::~Service() {
@@ -147,9 +149,9 @@ FactorPtr Service::factor_for(const toeplitz::BlockToeplitz& t, const std::strin
   return std::make_shared<const core::SchurFactor>(factory());
 }
 
-void Service::solve_batch(const core::SchurFactor& f, la::View b_padded) {
+void Service::solve_batch(const core::SchurFactor& f, la::View b) {
   util::TraceSpan span(kSolvePhase);
-  core::solve_rtdr_panels(f.r.view(), nullptr, b_padded, opt_.rhs_panel, /*parallel=*/true);
+  core::solve_rtdr_panels(f.r.view(), nullptr, b, opt_.rhs_panel, /*parallel=*/true);
 }
 
 std::shared_ptr<const toeplitz::BlockCirculantMultiplier> Service::multiplier_for(
@@ -174,8 +176,8 @@ void Service::solve_batch_refined(const toeplitz::BlockToeplitz& t, const std::s
   const index_t n = b_inout.rows(), cols = b_inout.cols();
   const auto mul = multiplier_for(t, key);
   // Keep B: after the in-place solve b_inout holds X, and each sweep needs
-  // the original right-hand sides for R = B - T X.  Zero-padded columns
-  // have zero residuals, so refining the full padded width is exact.
+  // the original right-hand sides for R = B - T X.  Every column is
+  // refined independently of the others, as it is solved.
   la::Mat b0(n, cols);
   la::copy(b_inout, b0.view());
   solve_batch(f, b_inout);
@@ -320,18 +322,18 @@ std::vector<SolveResult> Service::serve(const toeplitz::BlockToeplitz& t, const 
     const FactorPtr f = factor_for(t, key, &hit);
     const std::uint64_t factor_done_ns = util::TraceClock::now_ns();
     set_phase(util::ReqPhase::kSolve);
-    // Zero-padded to whole rhs_panel-wide panels: every trsm sees the same
-    // shape, so the answer bits do not depend on how requests batched.
-    const index_t panel = opt_.rhs_panel;
-    la::Mat pad(n, ((k + panel - 1) / panel) * panel);
-    double* col = pad.data();
+    // Exactly the k columns the batch holds: the left trsm's per-column
+    // bits do not depend on its width, so neither batching nor rhs_panel
+    // changes an answer.
+    la::Mat xs(n, k);
+    double* col = xs.data();
     for (const double* b : rhs) col = std::copy(b, b + n, col);
-    solve_batch_refined(t, key, *f, pad.view());
+    solve_batch_refined(t, key, *f, xs.view());
     const std::uint64_t done_ns = util::TraceClock::now_ns();
     const std::uint64_t warn_delta = util::Metrics::counter_value(kWarnings) - warn0;
     util::Metrics::record(kBatchHist, static_cast<std::uint64_t>(k));
     out.reserve(tickets.size());
-    const double* x = pad.data();
+    const double* x = xs.data();
     for (const Ticket& tk : tickets) {
       SolveResult& res = out.emplace_back();
       res.x.assign(x, x + tk.cols * n);

@@ -9,11 +9,11 @@
 //
 //   * a FactorCache (service/cache.h): factors are cached by the ledger's
 //     params hash and reused across requests -- factor once, solve many;
-//   * blocked multi-RHS solves: batches of right-hand sides go through
+//   * blocked multi-RHS solves: a batch's k right-hand sides go through
 //     core::solve_rtdr_panels, which drives the packed la/blas3 trsm over
-//     fixed-width RHS panels (padded with zero columns to a whole panel,
-//     so every trsm sees the same shape and the answer bits do not depend
-//     on how requests happened to batch);
+//     panels of at most rhs_panel columns -- exactly the k columns, no zero
+//     padding, since the left trsm's per-column bits do not depend on how
+//     many columns it is given;
 //   * an async submission path: submit() enqueues onto a bounded admission
 //     queue (blocking when full -- backpressure; try_submit() rejects
 //     instead) and a dispatcher thread coalesces same-key requests into
@@ -21,16 +21,16 @@
 //     util::ThreadPool.
 //
 // One request pipeline: solve(), solve_many() and each dispatched batch
-// all go through the private serve() -- factor lookup, padded panel solve
+// all go through the private serve() -- factor lookup, panel solve
 // (+ refinement), per-request results and every counter, histogram,
 // track and log line.  The synchronous calls run it on the caller's
 // thread; the dispatcher runs it once per coalesced batch.
 //
-// Determinism: for a fixed ServiceOptions (in particular rhs_panel),
-// concurrent submit()s return solutions bitwise identical to the serial
-// solve() path at any thread count and any batching outcome -- each output
-// column depends only on its own input column, and the fixed panel shape
-// pins the kernels' shape crossover (tests/test_service.cc).
+// Determinism: concurrent submit()s return solutions bitwise identical to
+// the serial solve() path at any thread count, any batching outcome and
+// any rhs_panel -- each output column depends only on its own input
+// column, and the trsm picks its update path from the factor's shape
+// alone (tests/test_service.cc, docs/KERNELS.md).
 //
 // Scope: the Service serves the SPD fast path.  A matrix that is not
 // positive definite fails the factorization; the error propagates through
@@ -57,7 +57,7 @@
 //   BST_SERVICE_CACHE_BYTES  factor-cache budget in bytes
 //   BST_SERVICE_QUEUE        admission queue capacity (requests)
 //   BST_SERVICE_BATCH        max same-key requests coalesced per dispatch
-//   BST_SERVICE_PANEL        RHS panel width of the blocked solves
+//   BST_SERVICE_PANEL        RHS panel width: fan-out grain of the solves
 //   BST_SERVICE_NOCACHE      "1" disables the factor cache (baseline mode)
 //   BST_SERVICE_SLOW_MS      slow-request log threshold in ms (0 = off)
 //   BST_SERVICE_TRACE_REQS   max requests that get "req:<id>" trace tracks
@@ -103,7 +103,7 @@ struct ServiceOptions {
   std::size_t cache_bytes = 256ull << 20;  // factor-cache budget
   std::size_t queue_capacity = 4096;   // bounded admission queue
   index_t max_batch = 256;             // same-key requests per dispatch
-  index_t rhs_panel = 32;              // RHS panel width (fixed trsm shape)
+  index_t rhs_panel = 32;              // RHS panel width (fan-out grain)
   bool cache_enabled = true;
   double slow_ms = 100.0;              // slow-request log threshold (0 = off)
   std::uint64_t trace_requests = 32;   // "req:<id>" tracks minted while tracing
@@ -224,8 +224,9 @@ class Service {
   /// Factor via the cache (or directly when caching is off).
   FactorPtr factor_for(const toeplitz::BlockToeplitz& t, const std::string& key, bool* hit);
 
-  /// Solves the padded batch in place: fixed-width panels over the pool.
-  void solve_batch(const core::SchurFactor& f, la::View b_padded);
+  /// Solves the batch in place: panels of up to rhs_panel columns over
+  /// the pool.
+  void solve_batch(const core::SchurFactor& f, la::View b);
 
   /// solve_batch plus opt_.refine_steps batched FFT-residual sweeps (the
   /// plain solve when refinement is off; needs `t`/`key` for the cached
@@ -261,7 +262,7 @@ class Service {
   std::unordered_map<std::string, std::shared_ptr<const toeplitz::BlockCirculantMultiplier>>
       fftmul_;
 
-  std::thread dispatcher_;  // started last, joined first
+  std::thread dispatcher_;  // started at the end of the constructor, joined first
 };
 
 }  // namespace bst::service

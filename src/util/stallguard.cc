@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "util/cli.h"
 #include "util/crashbox.h"
 #include "util/flight_recorder.h"
 #include "util/metrics.h"
@@ -87,11 +88,7 @@ std::uint64_t effective_poll_ms(const StallGuardOptions& opt) {
 
 StallGuardOptions StallGuardOptions::from_env() {
   StallGuardOptions opt;
-  if (const char* v = std::getenv("BST_STALL_MS"); v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end != v) opt.stall_ms = static_cast<std::uint64_t>(n);
-  }
+  opt.stall_ms = env_u64("BST_STALL_MS", opt.stall_ms);
   if (const char* v = std::getenv("BST_STALL_FATAL"); v != nullptr) {
     opt.fatal = (std::strcmp(v, "1") == 0 || std::strcmp(v, "true") == 0);
   }

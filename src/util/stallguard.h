@@ -37,7 +37,8 @@ struct StallGuardOptions {
   bool fatal = false;          // escalate a stall to crashbox dump + abort
   std::uint64_t poll_ms = 0;   // monitor period; 0 = stall_ms/4, clamped [5, 1000]
 
-  /// BST_STALL_MS / BST_STALL_FATAL (unset -> disabled).
+  /// BST_STALL_MS / BST_STALL_FATAL (unset -> disabled).  A malformed or
+  /// negative BST_STALL_MS throws std::invalid_argument naming it.
   static StallGuardOptions from_env();
 };
 

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -257,6 +258,29 @@ TEST(Fault, DisarmedByDefaultAndSlowFiresEveryHit) {
   const auto t2 = clock::now();
   EXPECT_LT(t1 - t0, std::chrono::milliseconds(15));
   EXPECT_GE(t2 - t1, std::chrono::milliseconds(30));
+}
+
+TEST(Fault, ReloadRejectsMalformedDurations) {
+  // strtoull read "-1" as 2^64-1 ms and "30ms" as 30: each must be
+  // refused, naming the variable, and leave the fault disarmed.
+  FaultDisarm disarm;
+  ::setenv("BST_FAULT", "admission:slow", 1);
+  for (const char* var : {"BST_FAULT_HANG_MS", "BST_FAULT_SLOW_MS"}) {
+    for (const char* value : {"-1", "30ms", "long"}) {
+      ::setenv(var, value, 1);
+      try {
+        Fault::reload();
+        ADD_FAILURE() << var << "=" << value << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+      }
+      EXPECT_FALSE(Fault::armed());
+      ::unsetenv(var);
+    }
+  }
+  ::setenv("BST_FAULT_SLOW_MS", "30", 1);
+  Fault::reload();
+  EXPECT_TRUE(Fault::armed());
 }
 
 // Forked smoke tests: the child arms a fault, fires it, and dies on the

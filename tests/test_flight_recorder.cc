@@ -107,7 +107,9 @@ TEST_F(FlightTest, RingOverflowKeepsTheMostRecentEvents) {
   for (std::size_t i = 0; i < te.events.size(); ++i) {
     EXPECT_EQ(te.events[i].kind, EventKind::kInstant);
     EXPECT_EQ(te.events[i].step, static_cast<std::int64_t>(12 + i));  // oldest first
-    if (i > 0) EXPECT_GE(te.events[i].ts_ns, te.events[i - 1].ts_ns);
+    if (i > 0) {
+      EXPECT_GE(te.events[i].ts_ns, te.events[i - 1].ts_ns);
+    }
   }
 }
 

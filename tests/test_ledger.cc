@@ -182,7 +182,9 @@ TEST(Ledger, TrendSkipsEntriesOnDifferentSolverPath) {
   EXPECT_EQ(trend.skipped_paths, 2);
   EXPECT_EQ(trend.regressions, 0);
   for (const util::TrendStat& s : trend.series) {
-    if (s.key == "phases.solve") EXPECT_EQ(s.values.size(), 1u);
+    if (s.key == "phases.solve") {
+      EXPECT_EQ(s.values.size(), 1u);
+    }
   }
   // Entries predating the field stay in (old ledgers keep their history),
   // and a same-path history is compared as before.

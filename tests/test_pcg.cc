@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pcg.h"
@@ -168,6 +171,29 @@ TEST(PcgOptions, FromEnvOverrides) {
   const PcgOptions defaults = PcgOptions::from_env();
   EXPECT_DOUBLE_EQ(defaults.tol, 1e-13);
   EXPECT_EQ(defaults.max_iters, 500);
+}
+
+TEST(PcgOptions, FromEnvRejectsMalformedAndNegative) {
+  // strtod(s, nullptr) read "tight" as tol=0 (PCG could never converge)
+  // and atoi read "50x" as 50: each must be refused, naming the variable.
+  for (const auto& [var, value] : {std::pair{"BST_PCG_TOL", "tight"},
+                                   std::pair{"BST_PCG_TOL", "1e-13x"},
+                                   std::pair{"BST_PCG_TOL", "-1e-6"},
+                                   std::pair{"BST_PCG_MAXIT", "50x"},
+                                   std::pair{"BST_PCG_MAXIT", "-3"},
+                                   std::pair{"BST_PCG_MAXIT", "4294967298"}}) {
+    setenv(var, value, 1);
+    try {
+      (void)PcgOptions::from_env();
+      ADD_FAILURE() << var << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    }
+    unsetenv(var);
+  }
+  setenv("BST_PCG_MAXIT", "0", 1);  // still clamps to one iteration
+  EXPECT_EQ(PcgOptions::from_env().max_iters, 1);
+  unsetenv("BST_PCG_MAXIT");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // service reports through.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -305,6 +306,64 @@ TEST(Service, ConcurrentSubmitBitwiseIdenticalToSerial) {
   EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kReqs));
   EXPECT_GE(s.batches, 1u);
   EXPECT_LE(s.cache.misses, 1u + 0u);  // one factorization serves everything
+}
+
+// The bitwise tests above run at orders <= 96, where the trsm never
+// reaches a gemm update.  At order 512 its updates run on both sides of
+// the packing crossover, so this is where a column's bits could depend on
+// how many columns rode along with it or on the panel width.
+TEST(Service, RealisticOrderBitsIndependentOfBatchingAndPanel) {
+  const BlockToeplitz t = toeplitz::random_spd_block(8, 64, 4, 11);
+  const la::index_t n = t.order();
+  ASSERT_GE(n, 512);
+  const int kReqs = 12;
+  std::vector<std::vector<double>> rhs(kReqs);
+  for (int r = 0; r < kReqs; ++r) {
+    rhs[r].resize(static_cast<std::size_t>(n));
+    for (la::index_t i = 0; i < n; ++i) {
+      rhs[r][static_cast<std::size_t>(i)] = std::sin(0.013 * i + 0.7 * r);
+    }
+  }
+  ServiceOptions wide = small_opts(), narrow = small_opts();
+  wide.rhs_panel = 32;
+  narrow.rhs_panel = 1;
+  Service svc(wide), svc1(narrow);
+  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
+
+  std::vector<std::vector<double>> want(kReqs);
+  for (int r = 0; r < kReqs; ++r) want[r] = svc.solve(t, rhs[r]).x;
+
+  la::Mat b3(n, 3);
+  for (la::index_t j = 0; j < 3; ++j) std::copy(rhs[j].begin(), rhs[j].end(), b3.view().col(j));
+  const la::Mat x3 = svc.solve_many(t, b3.view());
+  for (la::index_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(0, std::memcmp(x3.view().col(j), want[j].data(), bytes)) << "solve_many col " << j;
+  }
+
+  std::vector<std::future<SolveResult>> futs(kReqs);
+  {
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 4; ++w) {
+      threads.emplace_back([&, w] {
+        for (int r = w; r < kReqs; r += 4) futs[r] = svc.submit(t, rhs[r]);
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  for (int r = 0; r < kReqs; ++r) {
+    EXPECT_EQ(0, std::memcmp(futs[r].get().x.data(), want[r].data(), bytes)) << "submit " << r;
+  }
+
+  la::Mat ball(n, kReqs);
+  for (la::index_t j = 0; j < kReqs; ++j) {
+    std::copy(rhs[j].begin(), rhs[j].end(), ball.view().col(j));
+  }
+  const la::Mat x1 = svc1.solve_many(t, ball.view());
+  for (int r = 0; r < kReqs; ++r) {
+    EXPECT_EQ(0, std::memcmp(x1.view().col(r), want[r].data(), bytes)) << "panel 1 col " << r;
+    EXPECT_EQ(0, std::memcmp(svc1.solve(t, rhs[r]).x.data(), want[r].data(), bytes))
+        << "panel 1 solve " << r;
+  }
 }
 
 TEST(Service, SubmitPropagatesFactorizationFailure) {

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "baseline/block_levinson.h"
 #include "baseline/dense_solver.h"
@@ -138,6 +142,25 @@ TEST(SolverPolicy, FromEnvOverrides) {
   EXPECT_EQ(pol.pcg_min_n, 123);
   EXPECT_DOUBLE_EQ(pol.pcg_max_cond, 1e4);
   EXPECT_THROW(core::parse_solver_kind("bogus"), std::invalid_argument);
+}
+
+TEST(SolverPolicy, FromEnvRejectsMalformedAndNegative) {
+  // strtol/strtod with no end check read "2k" as 2 and "big" as 0 (every
+  // order crossed to PCG, every condition estimate failed the cap).
+  for (const auto& [var, value] : {std::pair{"BST_SOLVER_MIN_N", "2k"},
+                                   std::pair{"BST_SOLVER_MIN_N", "-64"},
+                                   std::pair{"BST_SOLVER_MAX_COND", "big"},
+                                   std::pair{"BST_SOLVER_MAX_COND", "1e6 "},
+                                   std::pair{"BST_SOLVER_MAX_COND", "-1"}}) {
+    setenv(var, value, 1);
+    try {
+      (void)core::SolverPolicy::from_env();
+      ADD_FAILURE() << var << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    }
+    unsetenv(var);
+  }
 }
 
 TEST(ToeplitzSolve, PcgPathSolvesLargeWellConditioned) {

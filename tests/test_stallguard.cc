@@ -12,7 +12,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -122,6 +125,24 @@ TEST(StallGuard, MonitorStartStopCycles) {
     EXPECT_FALSE(StallGuard::running());
     StallGuard::stop();  // idempotent while stopped
   }
+}
+
+TEST(StallGuardOptions, FromEnvRejectsMalformedAndNegative) {
+  // strtoull wrapped "-1" to 2^64-1 ms (stall detection silently never
+  // fired) and read "200ms" as 200: each must be refused instead.
+  for (const char* value : {"-1", "200ms", "soon"}) {
+    ::setenv("BST_STALL_MS", value, 1);
+    try {
+      (void)StallGuardOptions::from_env();
+      ADD_FAILURE() << "BST_STALL_MS=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("BST_STALL_MS"), std::string::npos) << e.what();
+    }
+  }
+  ::setenv("BST_STALL_MS", "200", 1);
+  EXPECT_EQ(StallGuardOptions::from_env().stall_ms, 200u);
+  ::unsetenv("BST_STALL_MS");
+  EXPECT_EQ(StallGuardOptions::from_env().stall_ms, 0u);
 }
 
 TEST(StallGuard, ZeroStallMsNeverStarts) {
