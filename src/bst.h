@@ -7,7 +7,8 @@
 //                                   T + dT = R^T D R
 //   core::solve_spd / solve_ldl  -- triangular solves on the factors
 //   core::solve_refined          -- iterative refinement driver
-//   simnet::dist_schur_factor    -- distributed-memory simulation (T3D)
+//   simnet::dist_schur_factor    -- distributed-memory simulation: T3D cost
+//                                   model + SPMD program (V1/V2/V3)
 //   baseline::*                  -- Levinson / classical Schur / dense
 //   service::Service             -- batched factor-once/solve-many service
 //                                   (factor cache, async queue, docs/SERVICE.md)

@@ -1,11 +1,11 @@
 #include "core/schur.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 
 #include "core/flop_model.h"
+#include "util/cli.h"
 #include "util/fault.h"
 #include "util/flops.h"
 #include "util/metrics.h"
@@ -52,18 +52,8 @@ std::string breakdown_message(index_t step, index_t column, double hnorm) {
   return os.str();
 }
 
-// Minimum flops a parallel chunk must carry: below this, pool dispatch and
-// per-chunk span overhead outweigh the arithmetic.  Overridable via
-// BST_SCHUR_GRAIN_FLOPS for chunking experiments.
 double chunk_grain_flops() {
-  static const double grain = [] {
-    if (const char* s = std::getenv("BST_SCHUR_GRAIN_FLOPS")) {
-      char* end = nullptr;
-      const double v = std::strtod(s, &end);
-      if (end != s && v > 0.0) return v;
-    }
-    return 1e5;
-  }();
+  static const double grain = schur_grain_flops_from_env();
   return grain;
 }
 
@@ -113,6 +103,14 @@ void apply_to_trailing(Generator& g, const BlockReflector& bref, index_t step,
 }
 
 }  // namespace
+
+double schur_grain_flops_from_env() {
+  const double grain = util::env_f64("BST_SCHUR_GRAIN_FLOPS", 1e5);
+  if (grain == 0.0) {
+    throw std::invalid_argument("BST_SCHUR_GRAIN_FLOPS: expected a positive number, got 0");
+  }
+  return grain;
+}
 
 NotPositiveDefinite::NotPositiveDefinite(index_t step_, index_t column_, double hnorm_)
     : std::runtime_error(breakdown_message(step_, column_, hnorm_)),

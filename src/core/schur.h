@@ -59,13 +59,19 @@ struct SchurFactor {
 std::uint64_t block_schur_stream(const toeplitz::BlockToeplitz& t, const SchurOptions& opt,
                                  const RowBlockSink& sink);
 
+/// Minimum flops a parallel chunk of the trailing update must carry (pool
+/// dispatch and per-chunk spans outweigh less arithmetic):
+/// BST_SCHUR_GRAIN_FLOPS, default 1e5.  It is a divisor, so a malformed,
+/// negative or zero value throws std::invalid_argument.  Read once, by the
+/// first parallel factorization.
+double schur_grain_flops_from_env();
+
 /// Factors T = R^T R and returns R densely.
 SchurFactor block_schur_factor(const toeplitz::BlockToeplitz& t, const SchurOptions& opt = {});
 
 /// One in-place factorization step on a prepared generator: builds the
 /// reflector from (A block 0, B block `step`) and applies it to the
-/// remaining active columns.  Exposed for the distributed driver, which
-/// performs the same step on distributed storage.  Throws on breakdown.
+/// remaining active columns.  Throws on breakdown.
 void schur_step(Generator& g, index_t step, const SchurOptions& opt);
 
 }  // namespace bst::core

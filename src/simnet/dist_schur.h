@@ -14,10 +14,11 @@
 //   phase 1: the pivot owner builds the block reflector,
 //   broadcast it, phase 2: every PE updates its owned columns, barrier.
 //
-// For V1/V2 the factorization *really runs* on per-PE storage (block
-// columns move between PE stores during the shift), so the distributed
-// result can be bit-compared with the sequential one; V3 is cost-model
-// only (pass want_factor = false).
+// Two things run over one owner map.  The cost model charges those phases
+// to the virtual clocks of a Machine (any layout, any size, no numerics).
+// The SPMD program (threaded_schur.h) carries the factorization out on PE
+// threads that hold only their own slices of the generator; in every
+// layout its factor is bitwise equal to core::block_schur_factor's.
 #pragma once
 
 #include <optional>
@@ -60,10 +61,9 @@ struct DistResult {
   util::ParSchedule schedule;
 };
 
-/// Runs the distributed factorization.  With want_factor the numerical
-/// factorization is actually carried out on distributed per-PE storage
-/// (V1/V2 only; throws std::invalid_argument for V3); without it, only the
-/// cost model runs (all layouts, any size).
+/// Runs the distributed factorization.  The simulated times come from the
+/// cost model; with want_factor the SPMD program also computes the factor
+/// (V3 then needs spread | block size), without it only the model runs.
 DistResult dist_schur_factor(const toeplitz::BlockToeplitz& t, const DistOptions& opt,
                              bool want_factor);
 

@@ -1,15 +1,11 @@
-// Distributed block Schur factorization executed on the threads-based
-// message-passing runtime (runtime.h): a real SPMD program in which every
-// PE owns only its block columns of the generator, the shift moves blocks
-// between PEs by point-to-point messages, the pivot owner builds the block
-// reflector and broadcasts its x-vectors, and every PE updates its own
-// columns -- the paper's section 7.1 program, actually running
-// concurrently.
-//
-// The cost-model path (dist_schur.h) answers "how long would this take on
-// a T3D"; this path answers "is the message-passing formulation correct".
-// Both produce factors that are bit-compared against the sequential
-// algorithm in the tests.
+// The distributed block Schur factorization as a real SPMD program on the
+// threads-based message-passing runtime (runtime.h): every PE owns only
+// its slices of the generator's block columns, the shift moves them
+// between PEs by point-to-point messages, the owners of the pivot slices
+// build the reflectors and broadcast their x-vectors, and every PE updates
+// its own slices -- the paper's section 7.1 program, actually running
+// concurrently.  dist_schur_factor (dist_schur.h) takes its factor from
+// here and its simulated times from the cost model.
 #pragma once
 
 #include "la/matrix.h"
@@ -19,11 +15,13 @@
 namespace bst::simnet {
 
 /// Runs the SPMD factorization on opt.np PE threads, in any layout: V1/V2
-/// distribute whole block columns, V3 splits each block column over
+/// give each block column to one PE, V3 splits it column-wise over
 /// opt.spread adjacent PEs.  Returns the assembled upper triangular factor
-/// (gathered on PE 0).  Throws std::invalid_argument for np < 1 and, for
-/// V3, unless spread divides both np and the block size; propagates
-/// NotPositiveDefinite from the pivot owner.
+/// (gathered on PE 0), bitwise equal to core::block_schur_factor's.
+/// Throws std::invalid_argument for invalid options (np < 1, V2 group < 1,
+/// V3 spread not dividing both np and the block size).  A breakdown throws
+/// the same NotPositiveDefinite as the sequential factorization, on every
+/// PE.
 la::Mat threaded_schur_factor(const toeplitz::BlockToeplitz& t, const DistOptions& opt);
 
 }  // namespace bst::simnet

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
+#include "util/cli.h"
 #include "util/metrics.h"
 #include "util/stallguard.h"
 #include "util/trace.h"
@@ -220,14 +220,12 @@ void ThreadPool::reset_worker_stats() {
   counter_epoch_.fetch_add(1, std::memory_order_release);
 }
 
+std::size_t ThreadPool::threads_from_env() {
+  return static_cast<std::size_t>(env_u64("BST_THREADS", 0, kMaxThreads));
+}
+
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("BST_THREADS")) {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n > 0) return static_cast<std::size_t>(n);
-    }
-    return std::size_t{0};
-  }());
+  static ThreadPool pool(threads_from_env());
   return pool;
 }
 

@@ -46,6 +46,14 @@ class ThreadPool {
   /// Process-wide default pool (lazy, sized from BST_THREADS or hardware).
   static ThreadPool& global();
 
+  /// Largest BST_THREADS accepted.
+  static constexpr std::uint64_t kMaxThreads = 1024;
+
+  /// The global pool's size request: BST_THREADS parsed strictly (unset,
+  /// empty or 0 = hardware concurrency); a malformed, negative or larger
+  /// than kMaxThreads value throws std::invalid_argument.
+  static std::size_t threads_from_env();
+
   /// True while the calling thread is inside a parallel_for: always for pool
   /// workers, and for the dispatching caller between fan-out and join.
   /// Kernels consult this to stay serial instead of nesting parallelism.

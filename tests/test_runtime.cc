@@ -3,16 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
+#include <string>
 
 #include "core/schur.h"
-#include "la/norms.h"
 #include "simnet/runtime.h"
 #include "simnet/threaded_schur.h"
 #include "toeplitz/generators.h"
 
 namespace bst::simnet {
 namespace {
+
+bool same_bits(const la::Mat& a, const la::Mat& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.rows() * a.cols()) * sizeof(double)) == 0;
+}
 
 TEST(Runtime, RanksAndSize) {
   std::atomic<int> sum{0};
@@ -137,7 +144,7 @@ TEST_P(ThreadedSchurSweep, MatchesSequentialFactor) {
     opt.group = group;
   }
   la::Mat r = threaded_schur_factor(t, opt);
-  EXPECT_LT(la::max_diff(r.view(), seq.r.view()), 1e-10);
+  EXPECT_TRUE(same_bits(r, seq.r));
 }
 
 INSTANTIATE_TEST_SUITE_P(NpGroupM, ThreadedSchurSweep,
@@ -165,7 +172,7 @@ TEST_P(ThreadedV3Sweep, SplitBlocksMatchSequential) {
   opt.layout = Layout::V3;
   opt.spread = spread;
   la::Mat r = threaded_schur_factor(t, opt);
-  EXPECT_LT(la::max_diff(r.view(), seq.r.view()), 1e-10);
+  EXPECT_TRUE(same_bits(r, seq.r));
 }
 
 INSTANTIATE_TEST_SUITE_P(NpSpreadM, ThreadedV3Sweep,
@@ -195,6 +202,33 @@ TEST(ThreadedSchur, V3BreakdownThrowsEverywhere) {
   EXPECT_THROW(threaded_schur_factor(t, opt), std::runtime_error);
 }
 
+TEST(ThreadedSchur, BreakdownReportIsTheSequentialOne) {
+  // Every PE throws the pivot owner's (column, hnorm), so whichever PE
+  // run_spmd rethrows, the message is the sequential factorization's.
+  const toeplitz::BlockToeplitz t = toeplitz::random_indefinite(16, 23).with_block_size(2);
+  std::string want;
+  try {
+    core::block_schur_factor(t);
+  } catch (const core::NotPositiveDefinite& e) {
+    want = e.what();
+  }
+  ASSERT_FALSE(want.empty());
+  for (Layout layout : {Layout::V1, Layout::V3}) {
+    DistOptions opt;
+    opt.np = 4;
+    opt.layout = layout;
+    opt.spread = 2;
+    for (int run = 0; run < 60; ++run) {
+      try {
+        threaded_schur_factor(t, opt);
+        ADD_FAILURE() << to_string(layout) << ": no breakdown";
+      } catch (const core::NotPositiveDefinite& e) {
+        ASSERT_EQ(want, e.what()) << to_string(layout) << " run " << run;
+      }
+    }
+  }
+}
+
 TEST(ThreadedSchur, BlockSizeOverride) {
   toeplitz::BlockToeplitz t = toeplitz::kms(24, 0.6);
   DistOptions opt;
@@ -204,7 +238,7 @@ TEST(ThreadedSchur, BlockSizeOverride) {
   sopt.block_size = 4;
   core::SchurFactor seq = core::block_schur_factor(t, sopt);
   la::Mat r = threaded_schur_factor(t, opt);
-  EXPECT_LT(la::max_diff(r.view(), seq.r.view()), 1e-10);
+  EXPECT_TRUE(same_bits(r, seq.r));
 }
 
 TEST(ThreadedSchur, MorePesThanBlocks) {
@@ -213,7 +247,7 @@ TEST(ThreadedSchur, MorePesThanBlocks) {
   opt.np = 8;  // most PEs own nothing
   core::SchurFactor seq = core::block_schur_factor(t);
   la::Mat r = threaded_schur_factor(t, opt);
-  EXPECT_LT(la::max_diff(r.view(), seq.r.view()), 1e-10);
+  EXPECT_TRUE(same_bits(r, seq.r));
 }
 
 }  // namespace

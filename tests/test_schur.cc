@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "baseline/dense_solver.h"
 #include "core/indefinite.h"
@@ -129,6 +132,25 @@ TEST(Schur, ThrowsOnIndefiniteMatrix) {
     EXPECT_GE(e.step, 1);
     EXPECT_NE(std::string(e.what()).find("not positive definite"), std::string::npos);
   }
+}
+
+TEST(Schur, GrainFlopsFromEnvIsStrict) {
+  // strtod without an end check took "2e4x" as 2e4; the grain divides the
+  // trailing flops, so 0 is refused too.
+  for (const char* value : {"2e4x", "-1e5", "0", "0.0", "fast"}) {
+    setenv("BST_SCHUR_GRAIN_FLOPS", value, 1);
+    try {
+      (void)schur_grain_flops_from_env();
+      ADD_FAILURE() << "BST_SCHUR_GRAIN_FLOPS=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("BST_SCHUR_GRAIN_FLOPS"), std::string::npos)
+          << e.what();
+    }
+  }
+  setenv("BST_SCHUR_GRAIN_FLOPS", "2.5e4", 1);
+  EXPECT_EQ(schur_grain_flops_from_env(), 2.5e4);
+  unsetenv("BST_SCHUR_GRAIN_FLOPS");
+  EXPECT_EQ(schur_grain_flops_from_env(), 1e5);
 }
 
 TEST(Schur, ThrowsOnSingularMinorMatrix) {

@@ -1,16 +1,24 @@
 // Tests for the distributed-memory simulation: machine cost model,
-// layout/owner maps, distributed factorization correctness (V1/V2 really
-// run on distributed storage) and the qualitative tradeoffs of section 7.
+// layout/owner maps, distributed factorization correctness (every layout
+// really runs on distributed storage) and the qualitative tradeoffs of
+// section 7.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/schur.h"
-#include "la/norms.h"
 #include "simnet/dist_schur.h"
 #include "simnet/machine.h"
 #include "toeplitz/generators.h"
 
 namespace bst::simnet {
 namespace {
+
+bool same_bits(const la::Mat& a, const la::Mat& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.rows() * a.cols()) * sizeof(double)) == 0;
+}
 
 TEST(Machine, ComputeAdvancesClock) {
   Machine m(2, MachineParams{.flop_rate = 100.0, .latency = 0.0, .bandwidth = 1e9});
@@ -76,34 +84,53 @@ TEST(RepresentationBytes, YtyIsSmallest) {
 
 class DistCorrectness : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
+// (layout, np, group or spread): 0 = V1, 1 = V2 with `group`, 2 = V3 with
+// `spread`.
 TEST_P(DistCorrectness, DistributedFactorEqualsSequential) {
-  const auto [layouti, np, group] = GetParam();
-  const Layout layout = layouti == 0 ? Layout::V1 : Layout::V2;
-  toeplitz::BlockToeplitz t = toeplitz::random_spd_block(3, 12, 2, 99);
+  const auto [layouti, np, k] = GetParam();
+  const Layout layout = layouti == 0 ? Layout::V1 : layouti == 1 ? Layout::V2 : Layout::V3;
+  // V3 splits each block over `spread` PEs, so its block size is a multiple.
+  toeplitz::BlockToeplitz t =
+      toeplitz::random_spd_block(layout == Layout::V3 ? 4 : 3, 12, 2, 99);
   core::SchurFactor seq = core::block_schur_factor(t);
 
   DistOptions opt;
   opt.layout = layout;
   opt.np = np;
-  opt.group = group;
+  if (layout == Layout::V3) {
+    opt.spread = k;
+  } else {
+    opt.group = k;
+  }
   DistResult res = dist_schur_factor(t, opt, /*want_factor=*/true);
   ASSERT_TRUE(res.r.has_value());
-  EXPECT_LT(la::max_diff(res.r->view(), seq.r.view()), 1e-10);
+  EXPECT_TRUE(same_bits(*res.r, seq.r));
   EXPECT_GT(res.sim_seconds, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(LayoutsAndSizes, DistCorrectness,
                          ::testing::Combine(::testing::Values(0, 1), ::testing::Values(1, 2, 4, 8),
                                             ::testing::Values(1, 2, 3)));
+INSTANTIATE_TEST_SUITE_P(SplitLayout, DistCorrectness,
+                         ::testing::Combine(::testing::Values(2), ::testing::Values(4, 8),
+                                            ::testing::Values(2, 4)));
 
-TEST(DistSchur, V3NumericPathRejected) {
+TEST(DistSchur, V3NumericPathMatchesSequential) {
   toeplitz::BlockToeplitz t = toeplitz::random_spd_block(2, 4, 1, 1);
   DistOptions opt;
   opt.layout = Layout::V3;
   opt.np = 4;
   opt.spread = 2;
-  EXPECT_THROW(dist_schur_factor(t, opt, /*want_factor=*/true), std::invalid_argument);
-  EXPECT_NO_THROW(dist_schur_factor(t, opt, /*want_factor=*/false));
+  const DistResult with = dist_schur_factor(t, opt, /*want_factor=*/true);
+  ASSERT_TRUE(with.r.has_value());
+  EXPECT_TRUE(same_bits(*with.r, core::block_schur_factor(t).r));
+  const DistResult without = dist_schur_factor(t, opt, /*want_factor=*/false);
+  EXPECT_FALSE(without.r.has_value());
+  // The clocks come from the cost model either way.
+  EXPECT_EQ(with.sim_seconds, without.sim_seconds);
+  // Slices must be whole columns: spread 2 cannot split m = 3.
+  EXPECT_THROW(dist_schur_factor(toeplitz::random_spd_block(3, 4, 1, 1), opt, true),
+               std::invalid_argument);
 }
 
 TEST(DistSchur, InvalidOptionsRejected) {
@@ -204,7 +231,7 @@ TEST(DistSchur, BlockSizeOverrideInDistributedRun) {
   core::SchurOptions sopt;
   sopt.block_size = 4;
   core::SchurFactor seq = core::block_schur_factor(t, sopt);
-  EXPECT_LT(la::max_diff(res.r->view(), seq.r.view()), 1e-10);
+  EXPECT_TRUE(same_bits(*res.r, seq.r));
 }
 
 

@@ -3,8 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/flops.h"
@@ -14,6 +17,29 @@
 
 namespace bst::util {
 namespace {
+
+TEST(ThreadPool, ThreadsFromEnvIsStrict) {
+  // strtol read "4x" as 4 and "-1" silently as "the default": each must be
+  // refused, naming the variable.  The caller's own setting is restored.
+  const char* env = std::getenv("BST_THREADS");
+  const std::string saved = env != nullptr ? env : "";
+  for (const char* value : {"4x", "-1", " 2", "two", "1025"}) {
+    setenv("BST_THREADS", value, 1);
+    try {
+      (void)ThreadPool::threads_from_env();
+      ADD_FAILURE() << "BST_THREADS=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("BST_THREADS"), std::string::npos) << e.what();
+    }
+  }
+  setenv("BST_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool::threads_from_env(), 3u);
+  setenv("BST_THREADS", "0", 1);  // still the hardware default
+  EXPECT_EQ(ThreadPool::threads_from_env(), 0u);
+  unsetenv("BST_THREADS");
+  EXPECT_EQ(ThreadPool::threads_from_env(), 0u);
+  if (env != nullptr) setenv("BST_THREADS", saved.c_str(), 1);
+}
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);

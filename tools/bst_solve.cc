@@ -160,25 +160,21 @@ int run_simnet(const util::Cli& cli, const toeplitz::BlockToeplitz& t,
   dopt.spread = cli.get_int("spread", 2);
   dopt.rep = parse_rep(cli.get("rep", "vy2"));
   dopt.block_size = cli.get_int("ms", 0);
-  const bool want_factor = dopt.layout != simnet::Layout::V3;
 
   const double t0 = util::wall_seconds();
-  simnet::DistResult res = simnet::dist_schur_factor(t, dopt, want_factor);
+  simnet::DistResult res = simnet::dist_schur_factor(t, dopt, /*want_factor=*/true);
   const double dt = util::wall_seconds() - t0;
 
-  double residual = -1.0;
-  if (want_factor) {
-    std::vector<double> x;
-    core::solve_rtdr(std::as_const(*res.r).view(), nullptr, b, x);
-    std::vector<double> r;
-    toeplitz::MatVec op(t);
-    op.residual(b, x, r);
-    residual = la::norm2(r);
-    if (cli.has("out")) {
-      toeplitz::write_vector_file(cli.get("out", ""), x);
-    } else if (profile_path.empty() && trace_path.empty()) {
-      toeplitz::write_vector(std::cout, x);
-    }
+  std::vector<double> x;
+  core::solve_rtdr(std::as_const(*res.r).view(), nullptr, b, x);
+  std::vector<double> r;
+  toeplitz::MatVec op(t);
+  op.residual(b, x, r);
+  const double residual = la::norm2(r);
+  if (cli.has("out")) {
+    toeplitz::write_vector_file(cli.get("out", ""), x);
+  } else if (profile_path.empty() && trace_path.empty()) {
+    toeplitz::write_vector(std::cout, x);
   }
 
   const util::ParAnalysis analysis = util::analyze_schedule(res.schedule);
@@ -217,7 +213,7 @@ int run_simnet(const util::Cli& cli, const toeplitz::BlockToeplitz& t,
   report.metric("sim_shift_s", res.breakdown.shift);
   report.metric("sim_barrier_s", res.breakdown.barrier);
   report.metric("steps", static_cast<double>(res.steps));
-  if (residual >= 0) report.metric("residual", residual);
+  report.metric("residual", residual);
   for (const simnet::PeCommStats& c : res.comm) {
     report.add_pe_comm(c.bytes_sent, c.bytes_recv, c.messages);
   }
@@ -231,11 +227,11 @@ int run_simnet(const util::Cli& cli, const toeplitz::BlockToeplitz& t,
   if (cli.has("report")) {
     std::fprintf(stderr,
                  "bst_solve: n=%td np=%d layout=%s sim=%.3fms (compute %.3f / bcast %.3f / "
-                 "shift %.3f / barrier %.3f ms) imbalance=%.3f residual=%s%.3e\n",
+                 "shift %.3f / barrier %.3f ms) imbalance=%.3f residual=%.3e\n",
                  t.order(), dopt.np, simnet::to_string(dopt.layout), res.sim_seconds * 1e3,
                  res.breakdown.compute * 1e3, res.breakdown.broadcast * 1e3,
                  res.breakdown.shift * 1e3, res.breakdown.barrier * 1e3, analysis.imbalance,
-                 residual < 0 ? "(not computed) " : "", residual < 0 ? 0.0 : residual);
+                 residual);
   }
   return 0;
 }
